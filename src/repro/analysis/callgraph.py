@@ -224,11 +224,11 @@ def wave_partition(components: List[List[str]], graph: CallGraph,
     Wave ``k`` holds every component whose callees all live in waves
     ``< k`` (leaves are wave 0), i.e. the longest-path depth of the
     condensed call graph.  Components inside one wave share no edges, so
-    they can be solved in parallel; solving waves in order preserves the
-    bottom-up invariant that every external callee is already converged.
-    Within a wave, the original (reverse-topological) component order is
-    kept, which is what makes the executor's merge deterministic at any
-    worker count.
+    every cache key of a wave is computable before any of its members is
+    solved — one bulk cache read and one shard write per wave; solving
+    waves in order preserves the bottom-up invariant that every external
+    callee is already converged.  Within a wave, the original
+    (reverse-topological) component order is kept.
     """
     comp_of: Dict[str, int] = {}
     for i, component in enumerate(components):

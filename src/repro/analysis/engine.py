@@ -97,23 +97,18 @@ class SummaryEngine:
     """Computes and caches :class:`FunctionSummary` facts for a program."""
 
     def __init__(self, program: Program,
-                 config: Optional[AnalysisConfig] = None, *,
-                 interprocedural: Optional[bool] = None,
-                 pool=None) -> None:
-        self.config = coerce_config(config, interprocedural=interprocedural,
-                                    _owner="SummaryEngine")
+                 config: Optional[AnalysisConfig] = None) -> None:
+        self.config = coerce_config(config)
         self.program = program
         if self.config.unwind_edges:
             # Unwind lowering runs before anything scans, fingerprints or
-            # ships a body: every downstream consumer (dataflow, workers,
-            # the summary cache) sees one consistent CFG.  Idempotent, so
+            # caches a body: every downstream consumer (dataflow, the
+            # summary cache) sees one consistent CFG.  Idempotent, so
             # a second engine over the same program is a no-op.
             with obs.span("analysis.unwind_lowering"):
                 for body in program.functions.values():
                     ensure_unwind_edges(body)
         self.interprocedural = self.config.interprocedural
-        #: Optionally session-owned worker pool, shared across programs.
-        self._executor_pool = pool
         self._summaries: Dict[str, FunctionSummary] = {}
         self._points_to: Dict[str, PointsTo] = {}
         self._call_graph: Optional[CallGraph] = None
@@ -318,12 +313,10 @@ class SummaryEngine:
         obs.gauge("analysis.intern.size", len(self._intern))
 
     def _solve(self) -> None:
-        # The executor owns scheduling: SCC waves, optional worker-process
-        # fan-out, and the on-disk summary cache.  At jobs=1 with no cache
-        # it degenerates to the classic serial bottom-up solve.
+        # The executor owns scheduling: the serial bottom-up solve, or
+        # SCC waves batching reads and writes of the on-disk cache.
         from repro.analysis.executor import AnalysisExecutor
-        AnalysisExecutor(self, self.config,
-                         pool=self._executor_pool).solve()
+        AnalysisExecutor(self, self.config).solve()
 
     def solve_component(self, component: List[str]) -> int:
         """Run the worklist for one SCC against ``self._summaries``.
@@ -332,9 +325,7 @@ class SummaryEngine:
         ``self._summaries`` (the bottom-up invariant).  Member summaries
         and their fixpoint points-to facts are written back in place;
         returns the number of worklist iterations taken.  This is the
-        unit of work the executor fans out: it only touches the member
-        bodies and callee summaries, so a worker process can run it
-        against a skeleton program.
+        unit of work the executor schedules.
 
         Each solve records an ``analysis.scc`` span (head function,
         component size, wall time, iterations) — the per-unit cost
@@ -349,8 +340,7 @@ class SummaryEngine:
     def _component_worklist(self, component: List[str]) -> int:
         program = self.program
         # Cyclicity is decided from the member bodies alone (not the call
-        # graph) so worker processes can solve against a skeleton program
-        # that only carries the component's bodies.
+        # graph): a singleton is cyclic only if its body calls itself.
         cyclic = len(component) > 1 or self._calls_self(
             program.functions[component[0]])
         in_progress = frozenset(component) if cyclic else frozenset()
@@ -402,7 +392,7 @@ class SummaryEngine:
         return iterations
 
     def adopt_summaries(self, summaries: Dict[str, FunctionSummary]) -> None:
-        """Install externally computed (worker / cache) summaries."""
+        """Install externally computed (cached) summaries."""
         self._summaries.update(summaries)
 
     def _scc_order(self, graph: CallGraph) -> List[List[str]]:

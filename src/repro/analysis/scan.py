@@ -17,8 +17,8 @@ The scan lives in ``body.__dict__`` under a non-field attribute, so
   stay byte-identical with pre-scan releases, which is what keeps the
   v2 summary-cache keys valid;
 * dataclass equality ignores it;
-* ``Body.__getstate__`` strips it, so worker-task payloads and cache
-  entries never ship derived state (workers rebuild their own scans).
+* ``Body.__getstate__`` strips it, so pickled bodies never carry
+  derived state (receivers rebuild their own scans).
 
 Derived facts that belong to *other* modules (deref sites, taint,
 points-to skeletons) are stored in the scan's generic ``cache`` dict
@@ -34,7 +34,7 @@ from repro.mir.nodes import Body, RvalueKind, StatementKind, TerminatorKind
 
 #: ``body.__dict__`` attribute holding the scan.  Leading underscore:
 #: ``Body.__getstate__`` strips every non-field attribute so pickles
-#: (worker payloads, cache entries) never carry derived state.
+#: never carry derived state.
 _ATTR = "_scan_cache"
 
 

@@ -3,8 +3,7 @@
 Subcommands::
 
     minirust check FILE... [--detector NAME]... [--json] [--profile]
-                           [--jobs N] [--executor-backend B]
-                           [--cache-dir DIR] [--no-cache]
+                           [--jobs N] [--cache-dir DIR] [--no-cache]
                            [--deadlock-cycle-bound N]
                            [--trace-out T.json] [--flame-out F.folded]
                                                run static detectors
@@ -23,7 +22,8 @@ Subcommands::
 
 ``--trace-out`` (also on ``audit-unsafe`` and ``corpus``) writes a
 Chrome-trace/Perfetto timeline of the whole command — including worker
-processes' solve spans re-parented under their waves; ``--flame-out``
+processes' spans re-parented under the batch that fanned them out
+(``--jobs N`` analyzes N files at a time); ``--flame-out``
 writes folded flamegraph stacks from the same span tree.
 
 Exit codes are uniform: 0 clean, 1 findings / failed run, 2 usage or
@@ -51,7 +51,6 @@ def _analysis_config(args):
     return AnalysisConfig(
         detectors=detector_names,
         jobs=getattr(args, "jobs", 1),
-        executor_backend=getattr(args, "executor_backend", "process"),
         cache_dir=getattr(args, "cache_dir", None),
         use_cache=not getattr(args, "no_cache", False),
         unwind_edges=not getattr(args, "no_unwind_edges", False),
@@ -368,17 +367,6 @@ def _cmd_corpus(args) -> int:
     return 0
 
 
-def _add_backend_flag(p: argparse.ArgumentParser) -> None:
-    """``--executor-backend`` for the commands that run the analysis
-    pipeline; findings are byte-identical across backends."""
-    p.add_argument("--executor-backend", default="process",
-                   choices=["process", "persistent", "thread"],
-                   dest="executor_backend",
-                   help="how --jobs fans out: stateless worker "
-                        "processes, a persistent fork-server pool "
-                        "(MIR ships once), or threads")
-
-
 def _add_unwind_flag(p: argparse.ArgumentParser) -> None:
     """``--no-unwind-edges`` ablation for the commands that run the
     analysis pipeline: the CFG keeps the pre-unwind straight-line-success
@@ -420,7 +408,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--profile", action="store_true",
                    help="print the phase/detector timing tree")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker processes for the analysis executor "
+                   help="worker processes, one file per task "
                         "(findings are identical at any N)")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="content-addressed summary cache directory; warm "
@@ -432,7 +420,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                    help="longest lock-graph cycle the deadlock detector "
                         "searches for (default 4; real-world deadlocks "
                         "involve 2-3 locks)")
-    _add_backend_flag(p)
     _add_unwind_flag(p)
     _add_trace_flags(p)
     p.set_defaults(func=_cmd_check)
@@ -450,7 +437,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--jobs", type=int, default=1, metavar="N")
     p.add_argument("--cache-dir", default=None, metavar="DIR")
     p.add_argument("--no-cache", action="store_true")
-    _add_backend_flag(p)
     _add_unwind_flag(p)
     p.set_defaults(func=_cmd_explain)
 
@@ -495,7 +481,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                    help="worker processes (output identical at any N)")
     p.add_argument("--cache-dir", default=None, metavar="DIR")
     p.add_argument("--no-cache", action="store_true")
-    _add_backend_flag(p)
     _add_unwind_flag(p)
     _add_trace_flags(p)
     p.set_defaults(func=_cmd_audit_unsafe)
@@ -514,7 +499,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         "processes")
     p.add_argument("--cache-dir", default=None, metavar="DIR")
     p.add_argument("--no-cache", action="store_true")
-    _add_backend_flag(p)
     _add_unwind_flag(p)
     p.add_argument("--profile", action="store_true",
                    help="print corpus generation/evaluation timings")
@@ -548,7 +532,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                    help="report regressions but exit 0 (CI warn mode)")
     p.add_argument("--enforce", default=DEFAULT_ENFORCE, metavar="REGEX",
                    help="regressions whose file:key matches REGEX exit 1 "
-                        "even under --warn (default: the three contract "
+                        "even under --warn (default: the contract "
                         "metrics; '' disables)")
     p.add_argument("--json", action="store_true",
                    help="emit the diff report as JSON")

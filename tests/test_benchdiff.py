@@ -207,7 +207,7 @@ class TestBenchDiffCli:
         assert "bench-diff" in capsys.readouterr().err
 
     def test_warn_mode_enforces_contract_metrics(self, tmp_path, capsys):
-        # The three contract metrics stay hard gates even under --warn:
+        # The contract metrics stay hard gates even under --warn:
         # wall_ratio is lower-is-better, so 0.5 -> 0.9 is a regression
         # that must fail the run.
         old = self._write(tmp_path / "old.json",

@@ -343,13 +343,13 @@ class TestAuditDeterminism:
     def test_findings_identical_across_jobs(self, corpus_sources):
         names = ("unsafe-leak", "unchecked-unsafe-input")
         rendered = []
-        for jobs in (1, 2):
+        for jobs in (1, 2, 4):
             with AnalysisSession(AnalysisConfig(jobs=jobs,
                                                 detectors=names)) as s:
                 reports = s.analyze_sources(corpus_sources)
             rendered.append(json.dumps(
                 [r.to_dict() for r in reports], sort_keys=True))
-        assert rendered[0] == rendered[1]
+        assert rendered[0] == rendered[1] == rendered[2]
 
     def test_audit_report_shape(self, corpus_sources):
         result = audit_unsafe(corpus_sources[:4])
