@@ -93,13 +93,25 @@ class LockOrderDetector(Detector):
                 graph.add_edge(first, second)
                 edge_spans.setdefault((first, second), (body.key, span))
 
-        findings: List[Finding] = []
-        seen_cycles = set()
+        # ``simple_cycles`` picks each cycle's start node (and the order
+        # it yields cycles in) through set iteration, which follows the
+        # per-process string hash seed.  Rotate every cycle to start at
+        # its smallest lock, keep the smallest ordering per lock set, and
+        # report in sorted order, so findings never depend on the seed.
+        best: Dict[FrozenSet, Tuple[List[str], List[Tuple]]] = {}
         for cycle in nx.simple_cycles(graph):
-            key = frozenset(cycle)
-            if key in seen_cycles or len(cycle) < 2:
+            if len(cycle) < 2:
                 continue
-            seen_cycles.add(key)
+            names = [repr(lock) for lock in cycle]
+            start = names.index(min(names))
+            rotated = (names[start:] + names[:start],
+                       cycle[start:] + cycle[:start])
+            key = frozenset(names)
+            if key not in best or rotated[0] < best[key][0]:
+                best[key] = rotated
+
+        findings: List[Finding] = []
+        for _names, cycle in sorted(best.values()):
             first, second = cycle[0], cycle[1]
             fn_key, span = edge_spans.get((first, second),
                                           ("<program>", Span.DUMMY))

@@ -240,6 +240,37 @@ class TestLockOrder:
             }""")
         assert not detectors_named(report, "lock-order")
 
+    def test_report_independent_of_hash_seed(self):
+        # Which lock a reported cycle starts at (and so which function
+        # the finding names) used to follow PYTHONHASHSEED.  Eight
+        # independent ABBA pairs make a seed-dependent report show.
+        import os
+        import subprocess
+        import sys
+
+        import repro
+        script = (
+            "import json\n"
+            "from repro.corpus.inject import BUG_TEMPLATES\n"
+            "from repro.detectors.lock_order import LockOrderDetector\n"
+            "from repro.detectors.registry import run_detectors\n"
+            "from repro.driver import compile_source\n"
+            "src = ''.join(BUG_TEMPLATES['lock_order_pair']"
+            ".render(f'lo{i}') for i in range(8))\n"
+            "c = compile_source(src, name='lo.rs')\n"
+            "r = run_detectors(c.program, [LockOrderDetector()], "
+            "source=c.source)\n"
+            "print(json.dumps(r.to_dict(), sort_keys=True))\n")
+        src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src_dir)
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True, timeout=120).stdout)
+        assert '"lock-order"' in outputs[0]
+        assert outputs[0] == outputs[1]
+
 
 class TestMemoryMisc:
     def test_double_free_ptr_read(self):
