@@ -2,14 +2,47 @@
 
 The workload-generator sweep the deliverables require: how compile+detect
 time grows with corpus size (the paper ran its detectors over whole
-applications; linear-ish scaling is the property that makes that viable).
+applications; linear scaling is the property that makes that viable).
+
+Two shapes:
+
+* per file — every corpus file analysed as its own program, with the
+  recall / false-positive assertions of the corpus evaluation;
+* whole program — the combined corpus as one compilation unit through
+  ``api.analyze``, at scales 1, 2 and 4 (best of two analyses per
+  scale).  Writes ``BENCH_scale.json`` and enforces the linear-scaling
+  contract: wall time may grow at most 1.5× as fast as the function
+  count from scale 1 to scale 4.
 """
+
+import gc
+import json
+import os
+import pathlib
+import re
+from time import perf_counter
 
 import pytest
 
 from conftest import emit
 
+from repro import api
+from repro.analysis.config import AnalysisConfig
 from repro.corpus import evaluate_detectors, generate_corpus
+from repro.driver import compile_source
+
+BENCH_SCALE_PATH = pathlib.Path(__file__).resolve().parent.parent / \
+    "BENCH_scale.json"
+SCALES = (1, 2, 4)
+#: Each scale's wall is the best of this many analyses: one slow reading
+#: of the 1 s scale-1 run would otherwise move the ratio by as much.
+WALL_REPS = 2
+#: Ceiling on ``(wall_s4 / wall_s1) / (fns_s4 / fns_s1)``.
+MAX_GROWTH_WALL_RATIO = 1.5
+#: Injections whole-program analysis is known to miss: the `channel`
+#: detector's no-sender rule is program-global, so any `send` elsewhere
+#: in the combined corpus masks every `channel_no_sender` bug.
+KNOWN_WHOLE_PROGRAM_LOSS = {"channel_no_sender"}
 
 
 @pytest.mark.parametrize("scale", [1, 2, 4])
@@ -24,3 +57,64 @@ def test_detector_pipeline_scale(benchmark, scale):
     for name, score in result.scores.items():
         assert score.found == score.injected, (scale, name, score.missed)
         assert score.false_positives == 0, (scale, name)
+
+
+def _missed(findings, injected):
+    """Injected bugs no finding of the expected detector names (the
+    suffix may not be followed by another digit: `se1` is not `se10`)."""
+    missed = []
+    for bug in injected:
+        pattern = re.compile(re.escape(bug.fn_name[len("bug_"):]) + r"(?!\d)")
+        if not any(f.detector == bug.template.detector
+                   and pattern.search(f.fn_key) for f in findings):
+            missed.append(bug)
+    return missed
+
+
+def test_whole_program_scaling():
+    rows = {}
+    for scale in SCALES:
+        corpus = generate_corpus(seed=0, scale=scale)
+        text = corpus.combined_source()
+        functions = len(compile_source(text).program.functions)
+        loc = len(text.splitlines())
+        wall = None
+        for _ in range(WALL_REPS):
+            gc.collect()
+            started = perf_counter()
+            report = api.analyze(text, name="corpus.rs",
+                                 config=AnalysisConfig(jobs=1))
+            elapsed = perf_counter() - started
+            wall = elapsed if wall is None else min(wall, elapsed)
+        missed = _missed(report.findings, corpus.injected)
+        assert {bug.template.name for bug in missed} \
+            <= KNOWN_WHOLE_PROGRAM_LOSS, [bug.fn_name for bug in missed]
+        rows[str(scale)] = {
+            "functions": functions, "loc": loc,
+            "wall_s": round(wall, 3),
+            "throughput_loc_per_s": round(loc / wall, 1),
+            "findings": len(report.findings),
+            "missed_known": len(missed),
+        }
+        emit(f"whole program, scale={scale}",
+             f"{functions} functions, {loc} LOC, {wall:.2f} s, "
+             f"{loc / wall:.0f} LOC/s, {len(report.findings)} findings")
+
+    first, last = rows[str(SCALES[0])], rows[str(SCALES[-1])]
+    growth = (last["wall_s"] / first["wall_s"]) \
+        / (last["functions"] / first["functions"])
+    payload = {
+        "schema_version": "1.0",
+        "host": {"cpu_count": os.cpu_count() or 1},
+        "corpus": {"seed": 0, "mode": "whole-program"},
+        "scales": rows,
+        "contracts": {
+            "growth_wall_ratio": round(growth, 3),
+            "max_growth_wall_ratio": MAX_GROWTH_WALL_RATIO,
+        },
+    }
+    BENCH_SCALE_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    emit("whole-program growth",
+         f"wall grows {growth:.2f}x as fast as the function count "
+         f"(scale {SCALES[0]} -> {SCALES[-1]})")
+    assert growth <= MAX_GROWTH_WALL_RATIO, rows

@@ -48,6 +48,8 @@ class CallGraph:
     spawn_edges: Dict[str, Set[str]] = field(default_factory=dict)
     _lock_summaries: Optional[Dict[str, Set[LockId]]] = \
         field(default=None, repr=False)
+    _sites_by_callee: Optional[Dict[str, List[CallSite]]] = \
+        field(default=None, repr=False)
 
     @property
     def lock_summaries(self) -> Dict[str, Set[LockId]]:
@@ -63,8 +65,16 @@ class CallGraph:
     def callees(self, key: str) -> Set[str]:
         return self.edges.get(key, set())
 
-    def sites_in(self, key: str) -> List[CallSite]:
-        return [s for s in self.call_sites if s.caller == key]
+    def sites_calling(self, callee: str) -> List[CallSite]:
+        """Same-thread call sites whose callee is ``callee``, in
+        ``call_sites`` order (indexed by callee on first use)."""
+        if self._sites_by_callee is None:
+            by_callee: Dict[str, List[CallSite]] = {}
+            for site in self.call_sites:
+                if not site.is_spawn:
+                    by_callee.setdefault(site.callee, []).append(site)
+            self._sites_by_callee = by_callee
+        return self._sites_by_callee.get(callee, [])
 
     def transitive_callees(self, key: str,
                            include_spawned: bool = False) -> Set[str]:
@@ -82,13 +92,20 @@ class CallGraph:
         return seen
 
     def reachable_from_spawn(self) -> Set[str]:
-        """Functions that may run on a spawned thread."""
-        roots: Set[str] = set()
+        """Functions that may run on a spawned thread: every spawned
+        closure and everything it calls or spawns, in one traversal
+        from all spawn targets at once."""
+        result: Set[str] = set()
         for spawned in self.spawn_edges.values():
-            roots |= spawned
-        result = set(roots)
-        for root in roots:
-            result |= self.transitive_callees(root, include_spawned=True)
+            result |= spawned
+        stack = list(result)
+        while stack:
+            node = stack.pop()
+            for nxt in (*self.edges.get(node, ()),
+                        *self.spawn_edges.get(node, ())):
+                if nxt not in result:
+                    result.add(nxt)
+                    stack.append(nxt)
         return result
 
 

@@ -114,6 +114,10 @@ class SummaryEngine:
         self._call_graph: Optional[CallGraph] = None
         self._thread_escape: Optional[ThreadEscape] = None
         self._lock_graph = None
+        self._op_sites: Optional[Dict[BuiltinOp, List[Tuple]]] = None
+        #: ``(fn key, local) → global ids`` memo of
+        #: :func:`repro.analysis.lockgraph.global_site_ids`.
+        self.site_id_memo: Dict[Tuple[str, int], FrozenSet[Tuple]] = {}
         self._view = _ReturnView(self)
         #: Per-analysis intern table for summary atoms (lock ids, access
         #: locations/keys, locksets) — one canonical object per distinct
@@ -294,6 +298,26 @@ class SummaryEngine:
         else:
             obs.count("analysis.lock_graph.hit")
         return self._lock_graph
+
+    def builtin_call_sites(self, ops) -> List[Tuple[Body, int, object]]:
+        """Every call of a builtin in ``ops`` as ``(body, block,
+        terminator)``, in program order (function order, then block
+        order; landing pads excluded).  One pass over the bodies' scanned
+        calls indexes every builtin op; each query then only merges the
+        lists of the ops it names."""
+        if self._op_sites is None:
+            index: Dict[BuiltinOp, List[Tuple]] = {}
+            for order, body in enumerate(self.program.functions.values()):
+                for bb, term in scan_of(body).calls:
+                    op = term.func.builtin_op
+                    if op is not None:
+                        index.setdefault(op, []).append(
+                            (order, bb, body, term))
+            self._op_sites = index
+        sites = [site for op in ops for site in self._op_sites.get(op, ())]
+        if len(ops) > 1:
+            sites.sort(key=lambda site: site[:2])
+        return [(body, bb, term) for _order, bb, body, term in sites]
 
     # -- solve --------------------------------------------------------------
 

@@ -70,9 +70,18 @@ class ThreadEscape:
     escape_reasons: Dict[Tuple[str, int], str] = field(default_factory=dict)
     #: Heap sites / statics reachable from any escape root.
     shared_targets: Set[SharedTarget] = field(default_factory=set)
+    _sites_by_closure: Optional[Dict[str, List[SpawnSite]]] = \
+        field(default=None, repr=False)
 
     def sites_spawning(self, closure_key: str) -> List[SpawnSite]:
-        return [s for s in self.spawn_sites if s.closure == closure_key]
+        """The spawn sites of ``closure_key``, in ``spawn_sites`` order
+        (indexed by closure on first use)."""
+        if self._sites_by_closure is None:
+            by_closure: Dict[str, List[SpawnSite]] = {}
+            for site in self.spawn_sites:
+                by_closure.setdefault(site.closure, []).append(site)
+            self._sites_by_closure = by_closure
+        return self._sites_by_closure.get(closure_key, [])
 
     def escapes(self, fn_key: str, local: int) -> bool:
         return local in self.escape_roots.get(fn_key, set())

@@ -251,18 +251,29 @@ def build_lock_graph(engine) -> LockGraph:
 # Shared identity / liveness helpers (condvar + channel blocking patterns)
 # ---------------------------------------------------------------------------
 
-def global_site_ids(engine, body: Body, local: int,
-                    depth: int = 3,
-                    _seen: Optional[FrozenSet[str]] = None) -> Set[Tuple]:
+def global_site_ids(engine, body: Body, local: int) -> FrozenSet[Tuple]:
     """Global (static / heap) identities of a builtin-call receiver.
 
     Resolves the receiver through this body's points-to, then follows
     arg-relative ids outward: through every spawn site's capture
     environment when ``body`` is a spawned closure, and through every
-    call site's operand when it is called (bounded at ``depth`` caller
+    call site's operand when it is called (bounded at three caller
     hops).  Two condvars / channel endpoints are "the same" exactly when
-    their resolved id sets intersect."""
-    seen = _seen or frozenset()
+    their resolved id sets intersect.
+
+    Memoised per ``(fn, local)`` in ``engine.site_id_memo``: a detector
+    that compares every wait against every notify resolves each site
+    once, not once per pair."""
+    key = (body.key, local)
+    hit = engine.site_id_memo.get(key)
+    if hit is None:
+        hit = engine.site_id_memo[key] = frozenset(
+            _resolve_site_ids(engine, body, local, 3, frozenset()))
+    return hit
+
+
+def _resolve_site_ids(engine, body: Body, local: int, depth: int,
+                      seen: FrozenSet[str]) -> Set[Tuple]:
     pt = engine.points_to(body)
     ids = lock_identity(body, pt, local)
     out = {(i[0], i[1], tuple(i[2])) for i in ids
@@ -271,13 +282,10 @@ def global_site_ids(engine, body: Body, local: int,
     if not arg_ids or depth <= 0 or body.key in seen:
         return out
     seen = seen | {body.key}
-    te = engine.thread_escape()
     program = engine.program
 
     # Capture route: a closure argument resolves through each spawn site.
-    for site in te.spawn_sites:
-        if site.closure != body.key:
-            continue
+    for site in engine.thread_escape().sites_spawning(body.key):
         spawner = program.functions.get(site.spawner)
         if spawner is None:
             continue
@@ -287,9 +295,7 @@ def global_site_ids(engine, body: Body, local: int,
                     translate_capture(site, pt_spawner, position, proj)}
 
     # Caller route: a declared parameter resolves through each call site.
-    for cs in engine.call_graph.call_sites:
-        if cs.callee != body.key or cs.is_spawn:
-            continue
+    for cs in engine.call_graph.sites_calling(body.key):
         caller = program.functions.get(cs.caller)
         if caller is None:
             continue
@@ -300,9 +306,9 @@ def global_site_ids(engine, body: Body, local: int,
             if position >= len(term.args) \
                     or term.args[position].place is None:
                 continue
-            sub = global_site_ids(engine, caller,
-                                  term.args[position].place.local,
-                                  depth - 1, seen)
+            sub = _resolve_site_ids(engine, caller,
+                                    term.args[position].place.local,
+                                    depth - 1, seen)
             out |= {(k, payload, tuple(p) + proj) for k, payload, p in sub}
     return out
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.mir.cfg import Cfg
 from repro.mir.nodes import Body, RvalueKind, StatementKind, TerminatorKind
 
 #: ``body.__dict__`` attribute holding the scan.  Leading underscore:
@@ -159,3 +160,10 @@ def scan_of(body: Body) -> BodyScan:
         scan = BodyScan(body)
         body.__dict__[_ATTR] = scan
     return scan
+
+
+def cfg_of(body: Body) -> Cfg:
+    """The body's CFG (with its dominator and order caches), built once
+    and memoised on the scan under ``"cfg"``, so every analysis and
+    detector walking this body shares one graph."""
+    return scan_of(body).memo("cfg", lambda: Cfg(body))

@@ -36,6 +36,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.analysis.config import AnalysisConfig, coerce_config
+from repro.analysis.gcpause import gc_paused
 from repro.detectors.base import Detector
 from repro.detectors.report import Report, SCHEMA_VERSION
 from repro.driver import CompiledProgram, compile_source
@@ -127,6 +128,24 @@ def _resolve_detector_arg(detectors) -> Optional[List[Detector]]:
     return instances + resolve_detectors(names)
 
 
+def _analyze_unit(name: str, text: str, config: AnalysisConfig,
+                  detectors=None) -> Report:
+    """Compile and analyze one unit with the cyclic collector paused —
+    the one compile-then-detect path every facade entry point runs."""
+    from repro.detectors.registry import run_detectors
+    with gc_paused():
+        compiled = compile_source(
+            text, name=name, emit_bounds_checks=config.emit_bounds_checks)
+        report = run_detectors(
+            compiled.program, detectors=_resolve_detector_arg(detectors),
+            source=compiled.source, config=config)
+        # Drop the unit while the collector is still paused: its bodies
+        # and their scans form reference cycles, so the first collection
+        # after the pause then frees the whole unit in one traversal.
+        del compiled
+    return report
+
+
 def _analyze_task(payload: bytes) -> bytes:
     """Worker-side whole-file analysis (compile + detect).
 
@@ -134,13 +153,9 @@ def _analyze_task(payload: bytes) -> bytes:
     (compile/detector/solve timelines, pid/tid-tagged) — rides back with
     the report so the session can fold it into the installed collector.
     """
-    from repro.detectors.registry import run_detectors
     name, text, config = pickle.loads(payload)
     with obs.collecting("api-worker") as collector:
-        compiled = compile_source(
-            text, name=name, emit_bounds_checks=config.emit_bounds_checks)
-        report = run_detectors(compiled.program, source=compiled.source,
-                               config=config)
+        report = _analyze_unit(name, text, config)
     return pickle.dumps(
         (report, dict(collector.counters), dict(collector.histograms),
          list(collector.roots)),
@@ -250,9 +265,13 @@ class AnalysisSession:
                 detectors=None) -> AnalysisReport:
         """Compile and analyze one program (path or source text),
         in-process."""
+        self._check_open()
         resolved_name, text = _load(source_or_path, name)
-        compiled = self.compile(text, name=resolved_name)
-        return self.analyze_compiled(compiled, detectors=detectors)
+        return AnalysisReport(
+            name=resolved_name,
+            report=_analyze_unit(resolved_name, text, self.config,
+                                 detectors),
+            config=self.config)
 
     def compile(self, text: str, name: str = "<input>") -> CompiledProgram:
         return compile_source(
@@ -312,10 +331,14 @@ class AnalysisSession:
             pool = self._ensure_pool()
 
         if pool is None:
+            self._check_open()
             for i in misses:
                 name, text = named_sources[i]
-                results[i] = self.analyze_compiled(
-                    self.compile(text, name=name), detectors=detectors)
+                results[i] = AnalysisReport(
+                    name=name,
+                    report=_analyze_unit(name, text, self.config,
+                                         detectors),
+                    config=self.config)
         else:
             with obs.span("analysis.batch", files=len(misses)):
                 futures = [

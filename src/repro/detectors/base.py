@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro import obs
 from repro.analysis.callgraph import CallGraph
@@ -15,6 +15,7 @@ from repro.analysis.lifetime import (
 from repro.analysis.points_to import PointsTo
 from repro.analysis.summaries import FunctionSummary
 from repro.detectors.report import Finding
+from repro.lang.types import TyKind
 from repro.mir.nodes import Body, Program
 
 
@@ -50,6 +51,7 @@ class AnalysisContext:
         self._guard_regions: Dict[Tuple[str, bool], List[GuardRegion]] = {}
         self._storage_ranges: Dict[str, StorageRanges] = {}
         self._init_states: Dict[str, dict] = {}
+        self._arc_shared_structs: Optional[FrozenSet[str]] = None
 
     def _lookup(self, cache: Dict, key, pass_name: str, compute):
         hit = cache.get(key)
@@ -110,6 +112,25 @@ class AnalysisContext:
         return self._lookup(
             self._init_states, body.key, "init_states",
             lambda: compute_init(body))
+
+    def arc_shared_structs(self) -> FrozenSet[str]:
+        """Names of the types that appear as an ``Arc<T>`` payload in
+        the type of any local of any body — the structs the program
+        shares across threads through ``Arc``.  One scan of every local
+        per context, however many methods ask."""
+        if self._arc_shared_structs is not None:
+            obs.count("analysis.arc_shared_structs.hit")
+            return self._arc_shared_structs
+        obs.count("analysis.arc_shared_structs.miss")
+        names = set()
+        for body in self.program.bodies():
+            for local in body.locals:
+                ty = local.ty
+                if ty.kind is TyKind.BUILTIN and ty.name == "Arc" \
+                        and ty.args:
+                    names.add(ty.args[0].peel_wrappers().name)
+        self._arc_shared_structs = frozenset(names)
+        return self._arc_shared_structs
 
     @property
     def call_graph(self) -> CallGraph:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Type
 
+from repro.analysis.gcpause import gc_paused
 from repro.detectors.base import AnalysisContext, Detector
 from repro.detectors.buffer_overflow import BufferOverflowDetector
 from repro.detectors.concurrency_misc import (
@@ -190,7 +191,8 @@ def run_detectors(program, detectors: Optional[List[Detector]] = None,
     with neither, the full registry runs.  Each detector runs under its
     own ``detector.<name>`` span with a findings counter, so
     ``--profile`` breaks the check time down per-detector and per
-    shared-analysis pass.
+    shared-analysis pass.  The detectors run with the cyclic collector
+    paused (:func:`repro.analysis.gcpause.gc_paused`).
     """
     from repro import obs
     from repro.analysis.config import coerce_config
@@ -200,14 +202,19 @@ def run_detectors(program, detectors: Optional[List[Detector]] = None,
             detectors = resolve_detectors(config.detectors)
         else:
             detectors = [cls() for cls in ALL_DETECTORS]
-    ctx = AnalysisContext(program, config)
     report = Report(source=source)
-    with obs.span("detectors"):
-        for detector in detectors:
-            with obs.span(f"detector.{detector.name}"):
-                found = detector.run(ctx)
-            obs.count(f"detector.{detector.name}.findings", len(found))
-            report.extend(found)
+    with gc_paused():
+        ctx = AnalysisContext(program, config)
+        with obs.span("detectors"):
+            for detector in detectors:
+                with obs.span(f"detector.{detector.name}"):
+                    found = detector.run(ctx)
+                obs.count(f"detector.{detector.name}.findings", len(found))
+                report.extend(found)
+        # The context's engine and caches are garbage once the report is
+        # built; dropping them inside the pause lets the first collection
+        # after it free them in one traversal.
+        del ctx
     deduped = apply_subsumption(report.dedup())
     obs.count("detectors.findings", len(deduped.findings))
     return deduped

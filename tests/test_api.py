@@ -1,15 +1,21 @@
 """Tests for the ``repro.api`` facade, ``AnalysisConfig`` validation
 and coercion, and report schema versioning."""
 
+import gc
 import json
+import threading
+import weakref
 
 import pytest
 
 from repro import api
 from repro.analysis.config import AnalysisConfig, coerce_config
+from repro.corpus.inject import BUG_TEMPLATES
+from repro.detectors.base import Detector
 from repro.detectors.report import SCHEMA_VERSION
 from repro.driver import compile_source
-from repro.detectors.registry import run_detectors
+from repro.detectors.registry import ALL_DETECTORS, run_detectors
+from repro.lang.diagnostics import CompileError
 
 UAF_SRC = """
 fn main() {
@@ -276,3 +282,117 @@ class TestSchemaVersion:
     def test_version_shape(self):
         major, minor = SCHEMA_VERSION.split(".")
         assert major.isdigit() and minor.isdigit()
+
+
+ALL_TEMPLATES_SRC = "\n".join(
+    template.render(f"{name}0")
+    for name, template in sorted(BUG_TEMPLATES.items()))
+
+
+class _GcProbe(Detector):
+    """Records the collector state while detectors run, and weak
+    references to the unit's bodies; optionally meets another probe at a
+    barrier so two analyses are provably inside their pauses at once."""
+
+    name = "gc-probe"
+
+    def __init__(self, barrier=None):
+        self.enabled_during = []
+        self.bodies = []
+        self.engine = None
+        self.barrier = barrier
+
+    def run(self, ctx):
+        self.enabled_during.append(gc.isenabled())
+        self.bodies = [weakref.ref(body) for body in ctx.program.bodies()]
+        self.engine = weakref.ref(ctx.engine)
+        if self.barrier is not None:
+            self.barrier.wait(timeout=30)
+        return []
+
+
+@pytest.fixture
+def gc_enabled():
+    gc.enable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+class TestGcPause:
+    def test_paused_during_analysis_and_enabled_after(self, gc_enabled):
+        probe = _GcProbe()
+        api.analyze(UAF_SRC, detectors=[probe])
+        assert probe.enabled_during == [False]
+        assert gc.isenabled()
+
+    def test_every_facade_path_pauses(self, gc_enabled):
+        probe = _GcProbe()
+        with api.AnalysisSession() as session:
+            session.analyze(UAF_SRC, detectors=[probe])
+            session.analyze_sources([("a.rs", UAF_SRC), ("b.rs", CLEAN_SRC)],
+                                    detectors=[probe])
+        assert probe.enabled_during == [False, False, False]
+        assert gc.isenabled()
+
+    def test_run_detectors_pauses_for_direct_callers(self, gc_enabled):
+        probe = _GcProbe()
+        run_detectors(compile_source(UAF_SRC).program, detectors=[probe])
+        assert probe.enabled_during == [False]
+        assert gc.isenabled()
+
+    def test_enabled_after_compile_error(self, gc_enabled):
+        with pytest.raises(CompileError):
+            api.analyze("fn main( {")
+        assert gc.isenabled()
+        with api.AnalysisSession() as session:
+            with pytest.raises(CompileError):
+                session.analyze_sources([("bad.rs", "fn main( {")])
+        assert gc.isenabled()
+
+    def test_caller_disabled_gc_stays_disabled(self, gc_enabled):
+        gc.disable()
+        probe = _GcProbe()
+        api.analyze(UAF_SRC, detectors=[probe])
+        assert probe.enabled_during == [False]
+        assert not gc.isenabled()
+
+    def test_concurrent_analyses_leave_gc_enabled(self, gc_enabled):
+        barrier = threading.Barrier(2)
+        probes = [_GcProbe(barrier), _GcProbe(barrier)]
+        threads = [threading.Thread(target=api.analyze, args=(UAF_SRC,),
+                                    kwargs={"detectors": [probe]})
+                   for probe in probes]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        # Both analyses were inside a pause at the barrier.
+        assert [p.enabled_during for p in probes] == [[False], [False]]
+        assert gc.isenabled()
+
+    def test_unit_is_garbage_when_the_collector_resumes(self, gc_enabled):
+        # Every detector runs on a large unit, so the first collection
+        # after the pause runs as soon as the collector is re-enabled.
+        probe = _GcProbe()
+        api.analyze(ALL_TEMPLATES_SRC, detectors=[probe] + [
+            cls() for cls in ALL_DETECTORS])
+        assert probe.bodies
+        # One young-generation collection frees the whole unit: nothing
+        # of it was still referenced when the first collection after the
+        # pause ran, so nothing was promoted to an older generation.
+        gc.collect(0)
+        assert all(ref() is None for ref in probe.bodies)
+        assert probe.engine() is None
+
+    def test_engine_is_garbage_after_direct_run(self, gc_enabled):
+        # The caller keeps the program; the summary engine (a reference
+        # cycle with its return view) must not outlive the run.
+        program = compile_source(ALL_TEMPLATES_SRC).program
+        probe = _GcProbe()
+        run_detectors(program, detectors=[probe] + [
+            cls() for cls in ALL_DETECTORS])
+        gc.collect(0)
+        assert probe.engine() is None
